@@ -15,10 +15,14 @@
 
 namespace {
 
+// The lightest item of a class weighs ~20,000 on average, so the capacity
+// grows with the class count: 31,250 per class (1,000,000 at 32 classes)
+// keeps every point feasible with the same relative slack. On an
+// infeasible instance the DPs exit early, and the point would time that.
 rt::mckp::Instance make_instance(int classes, int items, std::uint64_t seed) {
   rt::Rng rng(seed);
   rt::mckp::Instance inst;
-  inst.capacity = 1'000'000;
+  inst.capacity = std::int64_t{31'250} * classes;
   for (int c = 0; c < classes; ++c) {
     std::vector<rt::mckp::Item> cls;
     cls.push_back({rng.uniform_int(0, 40'000), rng.uniform(0.0, 0.3)});
@@ -30,8 +34,17 @@ rt::mckp::Instance make_instance(int classes, int items, std::uint64_t seed) {
   return inst;
 }
 
+/// Solves once before timing; false (and the point skipped with an error)
+/// when the instance has no feasible selection.
+bool check_feasible(benchmark::State& state, const rt::mckp::Selection& sel) {
+  if (sel.feasible) return true;
+  state.SkipWithError("infeasible instance: would time the early exit");
+  return false;
+}
+
 void BM_DpProfits(benchmark::State& state) {
   const auto inst = make_instance(static_cast<int>(state.range(0)), 10, 42);
+  if (!check_feasible(state, rt::mckp::solve_dp_profits(inst, 1000.0))) return;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rt::mckp::solve_dp_profits(inst, 1000.0));
   }
@@ -41,6 +54,7 @@ BENCHMARK(BM_DpProfits)->RangeMultiplier(2)->Range(4, 64)->Complexity();
 
 void BM_DpWeights(benchmark::State& state) {
   const auto inst = make_instance(static_cast<int>(state.range(0)), 10, 42);
+  if (!check_feasible(state, rt::mckp::solve_dp_weights(inst, 10'000))) return;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rt::mckp::solve_dp_weights(inst, 10'000));
   }

@@ -26,12 +26,18 @@
 
 namespace rtbench {
 
-/// `git describe --tags --always --dirty` of the working tree, so every
-/// summary records which revision produced it; "unknown" outside a
-/// checkout (e.g. an extracted release tarball).
+#ifndef RTOFFLOAD_SOURCE_DIR
+#define RTOFFLOAD_SOURCE_DIR "."
+#endif
+
+/// `git describe --tags --always --dirty` of the source tree the bench was
+/// built from (RTOFFLOAD_SOURCE_DIR, baked in by bench/CMakeLists.txt), so
+/// every summary records which revision produced it wherever it runs;
+/// "unknown" outside a checkout (e.g. an extracted release tarball).
 inline std::string git_describe() {
-  FILE* pipe =
-      ::popen("git describe --tags --always --dirty 2>/dev/null", "r");
+  const std::string command = std::string("git -C '") + RTOFFLOAD_SOURCE_DIR +
+                              "' describe --tags --always --dirty 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return "unknown";
   std::string out;
   char buf[128];

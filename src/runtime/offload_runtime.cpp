@@ -1,24 +1,25 @@
-// Real-protocol twin of sim/reference_engine.cpp: the same sub-job state
-// machine, with the event heap replaced by an epoll loop, slice ends and
-// compensation windows by timer-wheel timers, and the in-process
-// ResponseModel by a wire round-trip to gpu_serverd.
+// OffloadRuntime: a driver of the shared sim::JobScheduler core
+// (sim/job_scheduler.hpp), the same core simulate_reference drives. Time
+// comes from the epoll loop's timer wheel, dilated by time_scale, and each
+// offload's outcome from a wire round trip to gpu_serverd racing the
+// compensation timer. What stays here is what only a real run has: the
+// clamp of measured time into [now, horizon], the slice re-arm when
+// wall->protocol rounding leaves residue, late-reply classification, and
+// the lifetime of in-flight entries.
 
 #include "runtime/offload_runtime.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
-#include "core/deadline.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
 #include "net/wire.hpp"
 #include "obs/sink.hpp"
-#include "rt/health.hpp"
+#include "sim/job_scheduler.hpp"
 
 namespace rt::runtime {
 
@@ -26,138 +27,75 @@ namespace {
 
 using sim::TraceKind;
 
-enum class Phase { kLocal, kSetup, kSecond };
-
-struct SubJob {
-  std::size_t task = 0;
-  std::uint64_t job_id = 0;
-  Phase phase = Phase::kLocal;
-  TimePoint release;       // of the *job*, intended protocol time
-  TimePoint abs_deadline;  // of this sub-job
-  TimePoint job_deadline;  // release + D
-  Duration remaining;
-  std::uint8_t mode = 0;   // decision vector at release (0 normal)
-  bool via_compensation = false;
-  std::uint64_t seq = 0;
-  std::int64_t priority_key = 0;
-  bool done = false;
-};
-
-struct ReadyCmp {
-  bool operator()(const SubJob* a, const SubJob* b) const {
-    if (a->priority_key != b->priority_key) {
-      return a->priority_key < b->priority_key;
-    }
-    return a->seq < b->seq;
-  }
-};
-
 struct InFlight {
-  std::size_t task = 0;
-  std::uint64_t job_id = 0;
-  TimePoint release;
-  TimePoint job_deadline;
-  TimePoint send_p;     // protocol send instant
+  sim::Flight flight;
   TimePoint send_wall;  // CLOCK_MONOTONIC send instant
   net::TimerId timer = net::kInvalidTimer;
-  std::uint8_t mode = 0;
   bool resolved = false;
 };
 
-class Runtime {
+/// The scheduler's config: the run's, with the runtime's sink and trace
+/// capacity overrides applied.
+sim::SimConfig scheduler_config(const sim::SimConfig& config,
+                                const RuntimeOptions& options) {
+  sim::SimConfig out = config;
+  if (options.sink != nullptr) out.sink = options.sink;
+  if (options.trace_capacity != 0) out.trace_capacity = options.trace_capacity;
+  return out;
+}
+
+class Runtime final : public sim::SliceTimer {
  public:
   Runtime(const core::TaskSet& tasks, const core::DecisionVector& decisions,
           const sim::SimConfig& config, const sim::RequestProfile& profile,
           const RuntimeOptions& options)
-      : tasks_(tasks),
-        decisions_(decisions),
-        config_(config),
-        profile_(profile),
-        options_(options),
+      : options_(options),
         sink_(options.sink != nullptr ? options.sink : config.sink),
         loop_(net::EventLoopOptions{nullptr, Duration::microseconds(100),
                                     sink_}),
-        rng_(config.seed),
-        trace_(options.trace_capacity != 0 ? options.trace_capacity
-                                           : config.trace_capacity) {
-    if (tasks_.size() != decisions_.size()) {
-      throw std::invalid_argument("runtime: decisions arity mismatch");
-    }
-    if (!(options_.time_scale > 0.0)) {
-      throw std::invalid_argument("runtime: time_scale must be > 0");
-    }
-    core::validate_task_set(tasks_);
-    validate_decisions(decisions_);
-    metrics_.per_task.resize(tasks_.size());
-    next_release_p_.resize(tasks_.size(), TimePoint::zero());
-    horizon_end_ = TimePoint::zero() + config_.horizon;
-
-    dm_rank_.resize(tasks_.size());
-    std::vector<std::size_t> order(tasks_.size());
-    for (std::size_t i = 0; i < tasks_.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return tasks_[a].deadline < tasks_[b].deadline;
-                     });
-    for (std::size_t rank = 0; rank < order.size(); ++rank) {
-      dm_rank_[order[rank]] = static_cast<std::int64_t>(rank);
-    }
-
+        sched_(tasks, decisions, scheduler_config(config, options), profile,
+               "runtime", *this),
+        horizon_end_(TimePoint::zero() + config.horizon),
+        next_release_p_(tasks.size(), TimePoint::zero()) {
     if (sink_ != nullptr) {
       auto& reg = sink_->registry();
       rpc_latency_ns_ = &reg.histogram("runtime.rpc.latency_ns");
       rpc_sent_counter_ = &reg.counter("runtime.rpc.sent");
       rpc_replies_counter_ = &reg.counter("runtime.rpc.replies");
       rpc_late_counter_ = &reg.counter("runtime.rpc.late");
-      released_counter_ = &reg.counter("runtime.jobs_released");
-      timely_counters_.resize(tasks_.size());
-      comp_counters_.resize(tasks_.size());
-      miss_counters_.resize(tasks_.size());
-      for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        const std::string prefix = "runtime.task." + std::to_string(i);
-        timely_counters_[i] = &reg.counter(prefix + ".timely");
-        comp_counters_[i] = &reg.counter(prefix + ".compensations");
-        miss_counters_[i] = &reg.counter(prefix + ".misses");
-      }
     }
   }
 
   RuntimeResult run() {
-    controller_ = config_.controller;
-    if (controller_ != nullptr) {
-      controller_->begin_run(decisions_, TimePoint::zero());
-      const core::DecisionVector& degraded = controller_->degraded_decisions();
-      if (degraded.size() != tasks_.size()) {
-        throw std::invalid_argument(
-            "runtime: degraded decisions arity mismatch");
-      }
-      validate_decisions(degraded);
-    }
-
     connect();
 
     // Epoch with a small grace so the first releases (protocol time 0)
     // land in the wheel's future, not its past.
     epoch_ = loop_.now() + Duration::milliseconds(20);
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    for (std::size_t i = 0; i < next_release_p_.size(); ++i) {
       schedule_release(i);
     }
     loop_.add_timer(wall_at(horizon_end_), [this]() { on_horizon(); });
 
     loop_.run();
 
-    metrics_.end_time = horizon_end_;
-    metrics_.trace_truncated = trace_.truncated();
-    RuntimeResult result;
-    result.metrics = std::move(metrics_);
-    result.trace = std::move(trace_);
-    result.rpc_sent = rpc_sent_;
-    result.rpc_replies = rpc_replies_;
-    result.rpc_late_replies = rpc_late_;
-    result.send_failures = send_failures_;
-    result.wire_errors = wire_errors_;
-    result.connection_error = connection_error_;
-    return result;
+    sim::SimResult measured = sched_.finish(horizon_end_);
+    result_.metrics = std::move(measured.metrics);
+    result_.trace = std::move(measured.trace);
+    return std::move(result_);
+  }
+
+  // SliceTimer: one wheel timer, re-pointed at the running sub-job's end.
+  void arm(TimePoint end) override {
+    disarm();
+    slice_timer_ = loop_.add_timer(wall_at(end), [this]() {
+      on_event([this]() { on_slice_end(); });
+    });
+  }
+  void disarm() override {
+    if (slice_timer_ == net::kInvalidTimer) return;
+    loop_.cancel_timer(slice_timer_);
+    slice_timer_ = net::kInvalidTimer;
   }
 
  private:
@@ -171,30 +109,6 @@ class Runtime {
            (loop_.now() - epoch_).scaled(1.0 / options_.time_scale);
   }
 
-  // ---- validation ----------------------------------------------------
-
-  void validate_decisions(const core::DecisionVector& decisions) const {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const auto& d = decisions[i];
-      if (!d.offloaded()) continue;
-      if ((!tasks_[i].setup_wcet_per_level.empty() &&
-           d.level >= tasks_[i].setup_wcet_per_level.size()) ||
-          (!tasks_[i].compensation_wcet_per_level.empty() &&
-           d.level >= tasks_[i].compensation_wcet_per_level.size())) {
-        throw std::invalid_argument("runtime: decision level out of range");
-      }
-      if (d.response_time >= tasks_[i].deadline) {
-        throw std::invalid_argument(
-            "runtime: R >= D leaves no room for compensation");
-      }
-    }
-  }
-
-  [[nodiscard]] const core::DecisionVector& decisions_of(
-      std::uint8_t mode) const {
-    return mode == 0 ? decisions_ : controller_->degraded_decisions();
-  }
-
   // ---- transport -----------------------------------------------------
 
   void connect() {
@@ -206,278 +120,84 @@ class Runtime {
       on_event([this, payload]() { on_response(payload); });
     });
     conn_->set_close_handler([this](const std::string& reason) {
-      if (!stopping_ && connection_error_.empty()) connection_error_ = reason;
+      if (!stopping_ && result_.connection_error.empty()) {
+        result_.connection_error = reason;
+      }
     });
   }
 
   // ---- event plumbing ------------------------------------------------
 
-  /// Every loop-driven callback funnels through here: advance measured
-  /// protocol time monotonically (clamped to the horizon), charge the
-  /// running slice, run the body, re-evaluate dispatch. Mirrors the
-  /// event-pop prologue/epilogue of the simulator's loop.
+  /// Every loop-driven callback funnels through here: move the core's
+  /// clock to measured protocol time, kept monotone and clamped to the
+  /// horizon, run the body, re-evaluate dispatch.
   template <typename Body>
   void on_event(Body body) {
     if (stopping_) return;
     TimePoint p = protocol_now();
     if (p > horizon_end_) p = horizon_end_;
-    if (p < now_) p = now_;
-    advance_running(p);
-    now_ = p;
+    if (p < sched_.now()) p = sched_.now();
+    sched_.advance(p);
     body();
-    dispatch();
+    sched_.dispatch();
   }
 
   void on_horizon() {
     if (stopping_) return;
-    advance_running(horizon_end_);
-    now_ = horizon_end_;
-    if (cur_mode_ != 0) {
-      metrics_.time_in_degraded_ns += (now_ - mode_since_).ns();
-    }
+    sched_.advance(horizon_end_);
     stopping_ = true;
     loop_.stop();
   }
 
-  // ---- scheduler core (mirrors reference_engine.cpp) -----------------
-
-  Duration actual_exec(Duration wcet) {
-    if (wcet.ns() <= 0) return Duration::zero();
-    switch (config_.exec_policy) {
-      case sim::ExecTimePolicy::kAlwaysWcet:
-        return wcet;
-      case sim::ExecTimePolicy::kUniformFraction: {
-        const auto lo = static_cast<std::int64_t>(
-            config_.exec_min_fraction * static_cast<double>(wcet.ns()));
-        return Duration::nanoseconds(
-            rng_.uniform_int(std::max<std::int64_t>(lo, 0), wcet.ns()));
-      }
-    }
-    return wcet;
-  }
-
-  void advance_running(TimePoint to) {
-    if (running_ == nullptr) {
-      dispatch_time_ = to;
-      return;
-    }
-    const Duration elapsed = to - dispatch_time_;
-    if (elapsed.is_negative()) return;  // clock rounding; nothing elapsed
-    running_->remaining -= elapsed;
-    if (running_->remaining.is_negative()) {
-      running_->remaining = Duration::zero();
-    }
-    metrics_.cpu_busy_ns += elapsed.ns();
-    dispatch_time_ = to;
-  }
-
-  std::int64_t priority_key_for(const SubJob& sj) const {
-    return config_.scheduler_policy == sim::SchedulerPolicy::kEdf
-               ? sj.abs_deadline.ns()
-               : dm_rank_[sj.task];
-  }
-
-  void dispatch() {
-    if (stopping_) return;
-    SubJob* top = ready_.empty() ? nullptr : *ready_.begin();
-    if (top == running_ && slice_timer_ != net::kInvalidTimer) return;
-    if (top != running_) {
-      if (running_ != nullptr && !running_->done) {
-        trace_.record(now_, TraceKind::kPreempt, running_->task,
-                      running_->job_id);
-      }
-      running_ = top;
-      dispatch_time_ = now_;
-      if (running_ != nullptr) {
-        trace_.record(now_, TraceKind::kDispatch, running_->task,
-                      running_->job_id);
-        ++metrics_.context_switches;
-        running_->remaining += config_.context_switch_overhead;
-      }
-    }
-    if (slice_timer_ != net::kInvalidTimer) {
-      loop_.cancel_timer(slice_timer_);
-      slice_timer_ = net::kInvalidTimer;
-    }
-    if (running_ != nullptr) arm_slice();
-  }
-
-  void arm_slice() {
-    slice_timer_ = loop_.add_timer(wall_at(now_ + running_->remaining),
-                                   [this]() {
-                                     on_event([this]() { on_slice_end(); });
-                                   });
-  }
-
   void on_slice_end() {
     slice_timer_ = net::kInvalidTimer;
-    if (running_ == nullptr) return;
-    if (running_->remaining.is_positive()) {
+    const Duration residue = sched_.running_remaining();
+    if (residue.is_positive()) {
       // Wall->protocol rounding left sub-tick residue; re-point the timer.
-      arm_slice();
+      arm(sched_.now() + residue);
       return;
     }
-    SubJob* sj = running_;
-    ready_.erase(sj);
-    sj->done = true;
-    running_ = nullptr;
-    complete_subjob(sj);
+    if (auto flight = sched_.complete_running()) send_offload(*flight);
   }
 
-  void maybe_switch_mode() {
-    const auto mode = static_cast<std::uint8_t>(controller_->evaluate(now_));
-    if (mode == cur_mode_) return;
-    if (cur_mode_ != 0) {
-      metrics_.time_in_degraded_ns += (now_ - mode_since_).ns();
-    }
-    cur_mode_ = mode;
-    mode_since_ = now_;
-    ++metrics_.mode_changes;
-    trace_.record(now_, TraceKind::kModeChange, mode, metrics_.mode_changes);
-  }
-
-  void schedule_release(std::size_t task_idx) {
-    if (next_release_p_[task_idx] >= horizon_end_) return;
-    loop_.add_timer(wall_at(next_release_p_[task_idx]), [this, task_idx]() {
-      on_event([this, task_idx]() { handle_release(task_idx); });
+  /// Releases are anchored at their intended protocol instants (k*T plus
+  /// the sporadic draw), not at the measured instant the timer fired.
+  void schedule_release(std::size_t task) {
+    if (next_release_p_[task] >= horizon_end_) return;
+    loop_.add_timer(wall_at(next_release_p_[task]), [this, task]() {
+      on_event([this, task]() {
+        next_release_p_[task] = sched_.release(task, next_release_p_[task]);
+        schedule_release(task);
+      });
     });
   }
 
-  void handle_release(std::size_t task_idx) {
-    const TimePoint release = next_release_p_[task_idx];
-    if (release >= horizon_end_) return;
-    if (controller_ != nullptr) maybe_switch_mode();
-    const auto& task = tasks_[task_idx];
-    const auto& decision = decisions_of(cur_mode_)[task_idx];
-    auto& tm = metrics_.per_task[task_idx];
-    ++tm.released;
-    obs::inc(released_counter_);
-    const std::uint64_t job_id = ++job_counter_;
-    trace_.record(now_, TraceKind::kRelease, task_idx, job_id);
-
-    SubJob sj;
-    sj.task = task_idx;
-    sj.job_id = job_id;
-    sj.release = release;
-    sj.job_deadline = release + task.deadline;
-    sj.mode = cur_mode_;
-    sj.seq = ++subjob_seq_;
-    if (!decision.offloaded()) {
-      sj.phase = Phase::kLocal;
-      sj.abs_deadline = sj.job_deadline;
-      sj.remaining = actual_exec(task.local_wcet);
-    } else {
-      sj.phase = Phase::kSetup;
-      const core::SplitDeadlines split =
-          config_.deadline_policy == sim::DeadlinePolicy::kSplit
-              ? core::split_deadlines(task, decision.response_time,
-                                      decision.level)
-              : core::naive_deadlines(task, decision.response_time);
-      sj.abs_deadline = config_.scheduler_policy == sim::SchedulerPolicy::kEdf
-                            ? release + split.d1
-                            : sj.job_deadline;
-      sj.remaining = actual_exec(task.setup_for_level(decision.level));
-    }
-    sj.priority_key = priority_key_for(sj);
-    pool_.push_back(sj);
-    ready_.insert(&pool_.back());
-
-    Duration gap = task.period;
-    if (config_.release_policy == sim::ReleasePolicy::kSporadic) {
-      gap = gap + gap.scaled(rng_.uniform(0.0, config_.sporadic_slack));
-    }
-    next_release_p_[task_idx] = release + gap;
-    schedule_release(task_idx);
-  }
-
-  void note_miss(const SubJob& sj, bool final_phase) {
-    auto& tm = metrics_.per_task[sj.task];
-    ++tm.deadline_misses;
-    if (!miss_counters_.empty()) miss_counters_[sj.task]->inc();
-    trace_.record(now_, TraceKind::kDeadlineMiss, sj.task, sj.job_id);
-    if (config_.abort_on_deadline_miss) {
-      throw std::logic_error("runtime: deadline miss for task '" +
-                             tasks_[sj.task].name + "' at " +
-                             now_.to_string() +
-                             (final_phase ? " (job deadline)"
-                                          : " (sub-job deadline)"));
-    }
-  }
-
-  void complete_subjob(SubJob* sj) {
-    const auto& task = tasks_[sj->task];
-    const auto& decision = decisions_of(sj->mode)[sj->task];
-    auto& tm = metrics_.per_task[sj->task];
-
-    if (sj->phase == Phase::kSetup) {
-      if (now_ > sj->abs_deadline) note_miss(*sj, false);
-      ++tm.offload_attempts;
-      trace_.record(now_, TraceKind::kSetupDone, sj->task, sj->job_id);
-      send_offload(*sj, decision);
-      return;
-    }
-
-    ++tm.completed;
-    const bool missed = now_ > sj->job_deadline;
-    if (missed) note_miss(*sj, true);
-    trace_.record(now_, TraceKind::kJobComplete, sj->task, sj->job_id);
-
-    if (missed) return;
-    const double w = task.weight;
-    if (sj->phase == Phase::kLocal) {
-      ++tm.local_runs;
-      tm.accrued_benefit += w * task.benefit.local_value();
-    } else if (sj->via_compensation) {
-      tm.accrued_benefit += w * task.benefit.local_value();
-    } else {
-      tm.accrued_benefit +=
-          config_.benefit_semantics == sim::BenefitSemantics::kQualityValue
-              ? w * task.benefit
-                        .point(std::min(decision.level,
-                                        task.benefit.size() - 1))
-                        .value
-              : w;
-    }
-  }
-
-  void send_offload(const SubJob& sj, const core::Decision& decision) {
+  void send_offload(const sim::Flight& flight) {
     const std::uint64_t token = ++token_counter_;
-    InFlight fl;
-    fl.task = sj.task;
-    fl.job_id = sj.job_id;
-    fl.release = sj.release;
-    fl.job_deadline = sj.job_deadline;
-    fl.send_p = now_;
-    fl.send_wall = loop_.now();
-    fl.mode = sj.mode;
-
-    server::Request req;
-    if (sj.task < profile_.size() && decision.level < profile_[sj.task].size()) {
-      req = profile_[sj.task][decision.level];
-    }
+    InFlight fl{flight, loop_.now()};
 
     net::OffloadRequest wire;
     wire.id = token;
-    wire.task = static_cast<std::uint32_t>(sj.task);
-    wire.level = static_cast<std::uint32_t>(decision.level);
-    wire.send_protocol_ns = now_.ns();
+    wire.task = static_cast<std::uint32_t>(flight.task);
+    wire.level = static_cast<std::uint32_t>(flight.level);
+    wire.send_protocol_ns = flight.send.ns();
     wire.send_wall_ns = fl.send_wall.ns();
-    wire.compute_ns = req.compute_time.ns();
-    wire.payload_bytes = req.payload_bytes;
+    wire.compute_ns = flight.request.compute_time.ns();
+    wire.payload_bytes = flight.request.payload_bytes;
     if (options_.payload_padding && options_.max_frame_bytes > 64) {
       wire.pad_bytes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          req.payload_bytes, options_.max_frame_bytes - 64));
+          flight.request.payload_bytes, options_.max_frame_bytes - 64));
     }
 
-    ++rpc_sent_;
+    ++result_.rpc_sent;
     obs::inc(rpc_sent_counter_);
     if (conn_ == nullptr || conn_->closed() ||
         !conn_->send(net::encode(wire))) {
-      ++send_failures_;  // the compensation timer below still saves the job
+      ++result_.send_failures;  // the compensation timer below saves the job
     }
 
     fl.timer = loop_.add_timer(
-        wall_at(fl.send_p + decision.response_time), [this, token]() {
+        wall_at(flight.send + flight.window), [this, token]() {
           on_event([this, token]() { on_comp_timer(token); });
         });
     in_flight_.emplace(token, fl);
@@ -488,10 +208,10 @@ class Runtime {
     try {
       response = net::decode_response(payload);
     } catch (const net::WireError&) {
-      ++wire_errors_;
+      ++result_.wire_errors;
       return;
     }
-    ++rpc_replies_;
+    ++result_.rpc_replies;
     obs::inc(rpc_replies_counter_);
     auto it = in_flight_.find(response.id);
     if (it == in_flight_.end()) return;  // stray (e.g. post-horizon) reply
@@ -499,28 +219,21 @@ class Runtime {
 
     const Duration wall_latency = loop_.now() - fl.send_wall;
     obs::observe(rpc_latency_ns_, wall_latency.ns());
-    const Duration latency = wall_latency.scaled(1.0 / options_.time_scale);
-    auto& tm = metrics_.per_task[fl.task];
-    tm.observed_response_ms.add(latency.ms());
+    auto& tm = sched_.metrics().per_task[fl.flight.task];
+    tm.observed_response_ms.add(
+        wall_latency.scaled(1.0 / options_.time_scale).ms());
 
     if (fl.resolved) {
       // The compensation timer already won the race.
       ++tm.late_results;
-      ++rpc_late_;
+      ++result_.rpc_late_replies;
       obs::inc(rpc_late_counter_);
-      trace_.record(now_, TraceKind::kResultLate, fl.task, fl.job_id);
-      in_flight_.erase(it);
-      return;
+      sched_.trace().record(sched_.now(), TraceKind::kResultLate,
+                            fl.flight.task, fl.flight.job_id);
+    } else {
+      loop_.cancel_timer(fl.timer);  // "cancel on timely reply"
+      sched_.resolve(fl.flight, /*timely=*/true);
     }
-    fl.resolved = true;
-    loop_.cancel_timer(fl.timer);  // "cancel on timely reply"
-    ++tm.timely_results;
-    if (!timely_counters_.empty()) timely_counters_[fl.task]->inc();
-    trace_.record(now_, TraceKind::kResultTimely, fl.task, fl.job_id);
-    if (controller_ != nullptr) {
-      controller_->on_outcome(fl.task, /*timely=*/true, latency, now_);
-    }
-    release_second_phase(fl, /*via_compensation=*/false);
     in_flight_.erase(it);
   }
 
@@ -530,91 +243,34 @@ class Runtime {
     InFlight& fl = it->second;
     fl.resolved = true;
     fl.timer = net::kInvalidTimer;
-    auto& tm = metrics_.per_task[fl.task];
-    ++tm.compensations;
-    if (!comp_counters_.empty()) comp_counters_[fl.task]->inc();
-    trace_.record(now_, TraceKind::kTimerFired, fl.task, fl.job_id);
-    if (controller_ != nullptr) {
-      const auto& decision = decisions_of(fl.mode)[fl.task];
-      controller_->on_outcome(fl.task, /*timely=*/false,
-                              decision.response_time, now_);
-    }
-    release_second_phase(fl, /*via_compensation=*/true);
+    sched_.resolve(fl.flight, /*timely=*/false);
     // Entry survives (resolved) so a straggler reply classifies as late.
-  }
-
-  void release_second_phase(const InFlight& fl, bool via_compensation) {
-    const auto& task = tasks_[fl.task];
-    const auto& decision = decisions_of(fl.mode)[fl.task];
-    SubJob sj;
-    sj.task = fl.task;
-    sj.job_id = fl.job_id;
-    sj.phase = Phase::kSecond;
-    sj.release = fl.release;
-    sj.job_deadline = fl.job_deadline;
-    sj.abs_deadline = fl.job_deadline;
-    sj.mode = fl.mode;
-    sj.via_compensation = via_compensation;
-    sj.seq = ++subjob_seq_;
-    sj.remaining = via_compensation
-                       ? actual_exec(task.compensation_for_level(decision.level))
-                       : actual_exec(task.post_wcet);
-    sj.priority_key = priority_key_for(sj);
-    pool_.push_back(sj);
-    ready_.insert(&pool_.back());
   }
 
   // ---- state ---------------------------------------------------------
 
-  const core::TaskSet& tasks_;
-  const core::DecisionVector& decisions_;
-  sim::SimConfig config_;
-  const sim::RequestProfile& profile_;
   RuntimeOptions options_;
   obs::Sink* sink_;
   net::EventLoop loop_;
-  Rng rng_;
-  sim::Trace trace_;
-  sim::SimMetrics metrics_;
+  sim::JobScheduler sched_;
 
   std::unique_ptr<net::Connection> conn_;
-  std::string connection_error_;
 
   TimePoint epoch_;
   TimePoint horizon_end_;
-  TimePoint now_;            // measured protocol time, monotone
-  TimePoint dispatch_time_;  // protocol instant the running slice started
   bool stopping_ = false;
 
-  std::vector<std::int64_t> dm_rank_;
   std::vector<TimePoint> next_release_p_;  // intended k*T release cursor
-  std::deque<SubJob> pool_;  // stable addresses for ready-set pointers
-  std::set<SubJob*, ReadyCmp> ready_;
-  SubJob* running_ = nullptr;
   net::TimerId slice_timer_ = net::kInvalidTimer;
-  std::uint64_t subjob_seq_ = 0;
-  std::uint64_t job_counter_ = 0;
   std::uint64_t token_counter_ = 0;
   std::unordered_map<std::uint64_t, InFlight> in_flight_;
 
-  health::ModeController* controller_ = nullptr;
-  std::uint8_t cur_mode_ = 0;
-  TimePoint mode_since_;
-
-  std::uint64_t rpc_sent_ = 0;
-  std::uint64_t rpc_replies_ = 0;
-  std::uint64_t rpc_late_ = 0;
-  std::uint64_t send_failures_ = 0;
-  std::uint64_t wire_errors_ = 0;
+  RuntimeResult result_;  // transport counters; metrics/trace at the end
 
   obs::LogHistogram* rpc_latency_ns_ = nullptr;
   obs::Counter* rpc_sent_counter_ = nullptr;
   obs::Counter* rpc_replies_counter_ = nullptr;
   obs::Counter* rpc_late_counter_ = nullptr;
-  obs::Counter* released_counter_ = nullptr;
-  std::vector<obs::Counter*> timely_counters_;
-  std::vector<obs::Counter*> comp_counters_;
-  std::vector<obs::Counter*> miss_counters_;
 };
 
 }  // namespace
@@ -635,6 +291,9 @@ RuntimeResult run_offload_runtime(const core::TaskSet& tasks,
                                   const sim::SimConfig& config,
                                   const sim::RequestProfile& profile,
                                   const RuntimeOptions& options) {
+  if (!(options.time_scale > 0.0)) {
+    throw std::invalid_argument("runtime: time_scale must be > 0");
+  }
   Runtime runtime(tasks, decisions, config, profile, options);
   return runtime.run();
 }

@@ -1,7 +1,8 @@
 #pragma once
-// Internals shared by the serial engine (engine.cpp) and the batched
-// replication engine (batch_engine.cpp): the per-(task, decision) constant
-// cache, decision validation, and deadline-monotonic ranking.
+// Internals shared by the serial engine (engine.cpp), the batched
+// replication engine (batch_engine.cpp) and, except the cache, the protocol
+// core (job_scheduler.cpp): the per-(task, decision) constant cache,
+// decision validation, and deadline-monotonic ranking.
 //
 // Everything here is computed by the exact expressions the reference engine
 // evaluates per job, so both engines inherit bit-identical arithmetic from

@@ -1,15 +1,16 @@
 #pragma once
-// The seed event engine, kept verbatim as a correctness oracle.
+// The seed event engine, kept as a correctness oracle.
 //
 // `simulate_reference` is the pre-optimization implementation of
-// sim::simulate built on std::set / std::priority_queue / std::deque /
-// std::unordered_map. The production engine (engine.hpp) replaces every
-// one of those structures with allocation-free equivalents but must stay
-// bit-identical: tests/sim/determinism_test.cpp runs both engines over a
-// randomized config grid and compares metrics and traces event by event,
-// and bench/bench_sim_perf.cpp uses this engine as the speedup baseline.
+// sim::simulate: the shared protocol core (job_scheduler.hpp, which the
+// real runtime drives too) under a std::priority_queue of events. The
+// production engine (engine.hpp) replaces every one of its structures with
+// allocation-free equivalents but must stay bit-identical:
+// tests/sim/determinism_test.cpp runs both engines over a randomized
+// config grid and compares metrics and traces event by event, and
+// bench/bench_sim_perf.cpp uses this engine as the speedup baseline.
 //
-// Do not "optimize" this file; its value is that it stays the simple,
+// Do not "optimize" this path; its value is that it stays the simple,
 // obviously-correct version of the semantics documented in simulator.hpp.
 
 #include "sim/simulator.hpp"

@@ -222,5 +222,64 @@ TEST(Adaptive, FaultedStaticRunMatchesTheReferenceEngine) {
   }
 }
 
+// The controller path of the reference engine: with a fresh controller on
+// each side, mode switches happen at the same releases, every job keeps its
+// release-time vector, and both engines feed the controller the same
+// outcomes -- so the zero-allocation engine must still match bit for bit.
+TEST(Adaptive, ControlledRunMatchesTheReferenceEngine) {
+  const Setting s = make_setting();
+  SimConfig cfg = fig3_config();
+  cfg.abort_on_deadline_miss = false;
+  cfg.trace_capacity = 200'000;
+
+  health::ModeController ctl_ref(controller_config(s.degraded_decisions));
+  health::ModeController ctl_opt(controller_config(s.degraded_decisions));
+  SimConfig cfg_ref = cfg;
+  cfg_ref.controller = &ctl_ref;
+  SimConfig cfg_opt = cfg;
+  cfg_opt.controller = &ctl_opt;
+
+  const std::unique_ptr<server::ResponseModel> srv_ref = s.server->clone();
+  const std::unique_ptr<server::ResponseModel> srv_opt = s.server->clone();
+  const SimResult ref =
+      simulate_reference(s.tasks, s.static_decisions, *srv_ref, cfg_ref);
+  SimEngine engine;
+  const SimResult opt =
+      engine.run(s.tasks, s.static_decisions, *srv_opt, cfg_opt);
+
+  ASSERT_FALSE(ref.metrics.trace_truncated);
+  EXPECT_GT(ref.metrics.mode_changes, 0u);
+  EXPECT_EQ(ref.metrics.mode_changes, opt.metrics.mode_changes);
+  EXPECT_EQ(ref.metrics.time_in_degraded_ns, opt.metrics.time_in_degraded_ns);
+  EXPECT_EQ(ref.metrics.cpu_busy_ns, opt.metrics.cpu_busy_ns);
+  EXPECT_EQ(ref.metrics.context_switches, opt.metrics.context_switches);
+  EXPECT_EQ(ref.metrics.end_time.ns(), opt.metrics.end_time.ns());
+  ASSERT_EQ(ref.metrics.per_task.size(), opt.metrics.per_task.size());
+  for (std::size_t i = 0; i < ref.metrics.per_task.size(); ++i) {
+    const auto& x = ref.metrics.per_task[i];
+    const auto& y = opt.metrics.per_task[i];
+    EXPECT_EQ(x.released, y.released) << i;
+    EXPECT_EQ(x.completed, y.completed) << i;
+    EXPECT_EQ(x.deadline_misses, y.deadline_misses) << i;
+    EXPECT_EQ(x.local_runs, y.local_runs) << i;
+    EXPECT_EQ(x.offload_attempts, y.offload_attempts) << i;
+    EXPECT_EQ(x.timely_results, y.timely_results) << i;
+    EXPECT_EQ(x.compensations, y.compensations) << i;
+    EXPECT_EQ(x.late_results, y.late_results) << i;
+    EXPECT_EQ(x.accrued_benefit, y.accrued_benefit) << i;
+    EXPECT_EQ(x.observed_response_ms.count(), y.observed_response_ms.count()) << i;
+    EXPECT_EQ(x.observed_response_ms.sum(), y.observed_response_ms.sum()) << i;
+  }
+  const auto& re = ref.trace.events();
+  const auto& oe = opt.trace.events();
+  ASSERT_EQ(re.size(), oe.size());
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    EXPECT_EQ(re[i].time.ns(), oe[i].time.ns()) << "trace event " << i;
+    EXPECT_EQ(re[i].kind, oe[i].kind) << "trace event " << i;
+    EXPECT_EQ(re[i].task, oe[i].task) << "trace event " << i;
+    EXPECT_EQ(re[i].job, oe[i].job) << "trace event " << i;
+  }
+}
+
 }  // namespace
 }  // namespace rt::sim

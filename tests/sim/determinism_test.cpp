@@ -142,6 +142,8 @@ void expect_bit_identical(const SimResult& ref, const SimResult& opt,
   EXPECT_EQ(ref.metrics.cpu_busy_ns, opt.metrics.cpu_busy_ns);
   EXPECT_EQ(ref.metrics.context_switches, opt.metrics.context_switches);
   EXPECT_EQ(ref.metrics.trace_truncated, opt.metrics.trace_truncated);
+  EXPECT_EQ(ref.metrics.mode_changes, opt.metrics.mode_changes);
+  EXPECT_EQ(ref.metrics.time_in_degraded_ns, opt.metrics.time_in_degraded_ns);
   EXPECT_EQ(ref.metrics.end_time.ns(), opt.metrics.end_time.ns());
   for (std::size_t i = 0; i < ref.metrics.per_task.size(); ++i) {
     SCOPED_TRACE("task " + std::to_string(i));

@@ -1,10 +1,110 @@
 #include "img/scale.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace rt::img {
+
+namespace {
+
+// Center-aligned source coordinate of output index i, in float as
+// resize's contract states (scale = src_len / out_len).
+float source_coord(int i, float scale) {
+  return (static_cast<float>(i) + 0.5f) * scale - 0.5f;
+}
+
+// The bilinear taps of one output axis: the two clamped source neighbours
+// and the weight of the second, computed exactly as Image::sample_bilinear
+// computes them from the same coordinate.
+struct BilinearTaps {
+  std::vector<int> lo;
+  std::vector<int> hi;
+  std::vector<float> weight;
+};
+
+BilinearTaps bilinear_taps(int out_len, int src_len) {
+  const float scale = static_cast<float>(src_len) / static_cast<float>(out_len);
+  const auto n = static_cast<std::size_t>(out_len);
+  BilinearTaps taps{std::vector<int>(n), std::vector<int>(n), std::vector<float>(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    const float f = source_coord(static_cast<int>(i), scale);
+    const int i0 = static_cast<int>(std::floor(f));
+    taps.lo[i] = std::clamp(i0, 0, src_len - 1);
+    taps.hi[i] = std::clamp(i0 + 1, 0, src_len - 1);
+    taps.weight[i] = f - static_cast<float>(i0);
+  }
+  return taps;
+}
+
+// The clamped nearest source index of each output index along one axis.
+std::vector<int> nearest_taps(int out_len, int src_len) {
+  const float scale = static_cast<float>(src_len) / static_cast<float>(out_len);
+  std::vector<int> taps(static_cast<std::size_t>(out_len));
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    taps[i] = std::clamp(
+        static_cast<int>(std::lround(source_coord(static_cast<int>(i), scale))), 0,
+        src_len - 1);
+  }
+  return taps;
+}
+
+const float* row_ptr(const Image& im, int y) {
+  return im.data().data() +
+         static_cast<std::size_t>(y) * static_cast<std::size_t>(im.width());
+}
+
+void resize_nearest(const Image& src, Image& out) {
+  const std::vector<int> cols = nearest_taps(out.width(), src.width());
+  const std::vector<int> rows = nearest_taps(out.height(), src.height());
+  float* o = out.data().data();
+  for (const int r : rows) {
+    const float* in = row_ptr(src, r);
+    for (const int c : cols) *o++ = in[c];
+  }
+}
+
+// Separable bilinear: each needed source row is interpolated horizontally
+// once into a two-row cache, and each output row is the vertical lerp of
+// its two cached rows. Per pixel this evaluates sample_bilinear's
+// expressions on the same operands in the same order, so the result is
+// bit-identical; only the repeated tap and row work is gone.
+void resize_bilinear(const Image& src, Image& out) {
+  const BilinearTaps cols = bilinear_taps(out.width(), src.width());
+  const BilinearTaps rows = bilinear_taps(out.height(), src.height());
+  const std::size_t w = cols.weight.size();
+  std::array<std::vector<float>, 2> cache{std::vector<float>(w),
+                                          std::vector<float>(w)};
+  std::array<int, 2> cached_row{-1, -1};
+  // Returns the horizontal lerp of source row r, evicting the slot that
+  // does not hold row `keep` (the other row the current output row needs).
+  auto lerp_row = [&](int r, int keep) -> const float* {
+    for (std::size_t s = 0; s < 2; ++s) {
+      if (cached_row[s] == r) return cache[s].data();
+    }
+    const std::size_t s = cached_row[0] == keep ? 1 : 0;
+    const float* in = row_ptr(src, r);
+    float* line = cache[s].data();
+    for (std::size_t x = 0; x < w; ++x) {
+      const float v0 = in[cols.lo[x]];
+      const float v1 = in[cols.hi[x]];
+      line[x] = v0 + cols.weight[x] * (v1 - v0);
+    }
+    cached_row[s] = r;
+    return line;
+  };
+  float* o = out.data().data();
+  for (std::size_t y = 0; y < rows.weight.size(); ++y) {
+    const float* top = lerp_row(rows.lo[y], rows.hi[y]);
+    const float* bot = lerp_row(rows.hi[y], rows.lo[y]);
+    const float wy = rows.weight[y];
+    for (std::size_t x = 0; x < w; ++x) *o++ = top[x] + wy * (bot[x] - top[x]);
+  }
+}
+
+}  // namespace
 
 Image resize(const Image& src, int new_w, int new_h, ScaleFilter filter) {
   if (new_w <= 0 || new_h <= 0) {
@@ -12,20 +112,10 @@ Image resize(const Image& src, int new_w, int new_h, ScaleFilter filter) {
   }
   if (src.empty()) throw std::invalid_argument("resize: empty source");
   Image out(new_w, new_h);
-  const float sx = static_cast<float>(src.width()) / static_cast<float>(new_w);
-  const float sy = static_cast<float>(src.height()) / static_cast<float>(new_h);
-  for (int y = 0; y < new_h; ++y) {
-    for (int x = 0; x < new_w; ++x) {
-      // Center-aligned mapping.
-      const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-      const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-      if (filter == ScaleFilter::kNearest) {
-        out.at(x, y) = src.at_clamped(static_cast<int>(std::lround(fx)),
-                                      static_cast<int>(std::lround(fy)));
-      } else {
-        out.at(x, y) = src.sample_bilinear(fx, fy);
-      }
-    }
+  if (filter == ScaleFilter::kNearest) {
+    resize_nearest(src, out);
+  } else {
+    resize_bilinear(src, out);
   }
   return out;
 }

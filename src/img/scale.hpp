@@ -16,7 +16,18 @@ enum class ScaleFilter {
   kBilinear,
 };
 
-/// Resizes to new_w x new_h. Throws on non-positive target dimensions.
+/// Resizes to new_w x new_h. Throws on non-positive target dimensions or an
+/// empty source.
+///
+/// Output pixel (x, y) maps to the center-aligned source coordinate
+///   fx = (x + 0.5f) * sx - 0.5f,  fy = (y + 0.5f) * sy - 0.5f
+/// with sx = src.width() / new_w and sy = src.height() / new_h in float.
+/// Contract, bit for bit: a kBilinear pixel equals
+/// src.sample_bilinear(fx, fy), and a kNearest pixel equals
+/// src.at_clamped(lround(fx), lround(fy)). The bilinear kernel is separable
+/// (each source row is interpolated horizontally once and reused by every
+/// output row that needs it) but evaluates the same float expressions on
+/// the same operands, so PSNRs and the reports built on them do not move.
 Image resize(const Image& src, int new_w, int new_h,
              ScaleFilter filter = ScaleFilter::kBilinear);
 

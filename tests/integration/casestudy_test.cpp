@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "core/schedulability.hpp"
 
@@ -80,6 +83,40 @@ TEST(CaseStudy, ConfigValidation) {
   CaseStudyConfig cfg;
   cfg.num_levels = 1;
   EXPECT_THROW(build_case_study(cfg), std::invalid_argument);
+}
+
+// The default study feeds Table 1 and Figure 2. Its per-level PSNRs and
+// estimated response times are pinned bit for bit, so a change to the image
+// kernels, the scene generator or the estimator that flips a single bit of
+// the reports fails here rather than only in the report digests.
+TEST(CaseStudy, DefaultConfigPsnrAndResponsesArePinned) {
+  const CaseStudy study = build_case_study();
+  const std::array<std::vector<double>, 4> psnr{{
+      {0x1.d94a4c9eb3207p+4, 0x1.fa075e92ed69p+4, 0x1.02a620a611cap+5,
+       0x1.0c25cbdf72b74p+5, 0x1.8cp+6},
+      {0x1.9a13931f2a755p+4, 0x1.ad583ade966e3p+4, 0x1.b21183a23c98fp+4,
+       0x1.c22d178477917p+4, 0x1.8cp+6},
+      {0x1.9625c4073823p+4, 0x1.ab38cba79fc56p+4, 0x1.b0cfd5ff90c8dp+4,
+       0x1.c15996c3bf75dp+4, 0x1.8cp+6},
+      {0x1.1d65d18246f48p+5, 0x1.3a502c8823026p+5, 0x1.4ba3c880fdd83p+5,
+       0x1.5d8ece28b98b4p+5, 0x1.8cp+6},
+  }};
+  const std::array<std::vector<std::int64_t>, 4> response_ns{{
+      {0, 201013719, 445418334, 779269097, 1220287749},
+      {0, 172166162, 381642393, 675600334, 1046539673},
+      {0, 193216327, 422803661, 742710263, 1166953686},
+      {0, 169059428, 370494022, 650582850, 997402820},
+  }};
+  ASSERT_EQ(study.tasks.size(), 4u);
+  for (std::size_t i = 0; i < study.tasks.size(); ++i) {
+    const CaseStudyTask& t = study.tasks[i];
+    EXPECT_EQ(t.psnr, psnr[i]) << t.task.name;
+    ASSERT_EQ(t.task.benefit.size(), response_ns[i].size()) << t.task.name;
+    for (std::size_t j = 0; j < t.task.benefit.size(); ++j) {
+      EXPECT_EQ(t.task.benefit.point(j).response_time.ns(), response_ns[i][j])
+          << t.task.name << " level point " << j;
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // BM_BatchSweep runs the same Figure-3 grid (9 errors x 2 solvers =
 // 18 scenarios, short horizon) at 1/2/4/8 workers. The grid is the
 // checked-in examples/specs/fig3.json document shrunk via spec overrides
-// (12 tasks, 20 s horizon) -- the benchmark measures exactly the workload a
-// user would declare. Scenarios are embarrassingly parallel -- each owns
+// (12 tasks, 20 s horizon) and expanded once by spec::plan_batch, so each
+// iteration times BatchRunner::run on exactly the workload a user would
+// declare. Scenarios are embarrassingly parallel -- each owns
 // its Rng and a cloned ResponseModel -- so on an N-core machine throughput
 // should scale close to N until the scenario count stops dividing evenly.
 // On a single-core container the worker counts tie; the
@@ -18,13 +19,13 @@
 #include <fstream>
 #include <sstream>
 
-#include "exp/sweep.hpp"
+#include "exp/batch.hpp"
 #include "json_summary_gbench.hpp"
 #include "spec/grid.hpp"
 
 namespace {
 
-rt::exp::Fig3SweepConfig sweep_config() {
+rt::spec::BatchPlan sweep_plan() {
   const char* path = RTOFFLOAD_SPECS_DIR "/fig3.json";
   std::ifstream in(path);
   if (!in) {
@@ -35,15 +36,16 @@ rt::exp::Fig3SweepConfig sweep_config() {
   rt::spec::ScenarioDoc doc = rt::spec::ScenarioDoc::parse_text(ss.str());
   doc = rt::spec::with_override(doc, "workload.num_tasks", rt::Json(12.0));
   doc = rt::spec::with_override(doc, "sim.horizon_ms", rt::Json(20000.0));
-  return rt::spec::fig3_config_from_doc(doc);
+  return rt::spec::plan_batch(doc);
 }
 
 void BM_BatchSweep(benchmark::State& state) {
-  rt::exp::Fig3SweepConfig cfg = sweep_config();
-  cfg.batch.jobs = static_cast<unsigned>(state.range(0));
-  const std::size_t scenarios = cfg.errors.size() * cfg.solvers.size();
+  rt::spec::BatchPlan plan = sweep_plan();
+  plan.batch.jobs = static_cast<unsigned>(state.range(0));
+  rt::exp::BatchRunner runner(plan.batch);
+  const std::size_t scenarios = plan.specs.size();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rt::exp::run_fig3_sweep(cfg));
+    benchmark::DoNotOptimize(runner.run(plan.specs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(scenarios));

@@ -9,7 +9,6 @@
 #include "core/odm.hpp"
 #include "json_summary_gbench.hpp"
 #include "core/workload.hpp"
-#include "mckp/branch_bound.hpp"
 #include "mckp/solvers.hpp"
 #include "util/rng.hpp"
 
@@ -69,17 +68,6 @@ void BM_HeuOe(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_HeuOe)->RangeMultiplier(2)->Range(4, 256)->Complexity();
-
-void BM_BranchBound(benchmark::State& state) {
-  // Exact on real-valued profits but exponential in the worst case: past
-  // ~16 classes of these adversarial random instances the node budget
-  // blows -- which is exactly why the paper uses the pseudo-polynomial DP.
-  const auto inst = make_instance(static_cast<int>(state.range(0)), 10, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rt::mckp::solve_branch_bound(inst));
-  }
-}
-BENCHMARK(BM_BranchBound)->RangeMultiplier(2)->Range(4, 16);
 
 void BM_BruteForce(benchmark::State& state) {
   const auto inst = make_instance(static_cast<int>(state.range(0)), 4, 42);

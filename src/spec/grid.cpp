@@ -1,6 +1,5 @@
 #include "spec/grid.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
 #include <variant>
@@ -149,77 +148,6 @@ BatchPlan plan_batch(const ScenarioDoc& doc) {
         static_cast<unsigned>(doc.sweep.at("jobs").as_number());
   }
   return plan;
-}
-
-exp::Fig3SweepConfig fig3_config_from_doc(const ScenarioDoc& doc) {
-  const SpecPath root;
-  if (doc.workload.at("type").as_string() != "paper") {
-    throw SpecError(root / "workload" / "type",
-                    "the Figure 3 sweep needs the 'paper' workload");
-  }
-  if (doc.server.is_null() ||
-      doc.server.at("type").as_string() != "benefit-driven") {
-    throw SpecError(root / "server",
-                    "the Figure 3 sweep needs the 'benefit-driven' server");
-  }
-  if (doc.odm.at("apply_task_weights").as_bool()) {
-    throw SpecError(root / "odm" / "apply_task_weights",
-                    "the Figure 3 sweep is unweighted; set it to false");
-  }
-  if (doc.sim.at("benefit_semantics").as_string() != "timely-count") {
-    throw SpecError(root / "sim" / "benefit_semantics",
-                    "the Figure 3 sweep counts timely results; set "
-                    "'timely-count'");
-  }
-  if (doc.sweep.is_null()) {
-    throw SpecError(root / "sweep", "required for the Figure 3 sweep");
-  }
-  const Json::Array& axes = doc.sweep.at("axes").as_array();
-  if (axes.size() != 2 ||
-      axes[0].at("path").as_string() != "odm.estimation_error" ||
-      axes[1].at("path").as_string() != "odm.solver") {
-    throw SpecError(root / "sweep" / "axes",
-                    "the Figure 3 sweep needs exactly the axes "
-                    "['odm.estimation_error', 'odm.solver'] in that order");
-  }
-
-  exp::Fig3SweepConfig cfg;
-  const Json& w = doc.workload;
-  cfg.taskset_seed = static_cast<std::uint64_t>(w.at("seed").as_number());
-  cfg.workload.num_tasks = static_cast<int>(w.at("num_tasks").as_number());
-  cfg.workload.wcet_max = Duration::from_ms(w.at("wcet_max_ms").as_number());
-  cfg.workload.period_min = Duration::from_ms(w.at("period_min_ms").as_number());
-  cfg.workload.period_max = Duration::from_ms(w.at("period_max_ms").as_number());
-  cfg.workload.response_min =
-      Duration::from_ms(w.at("response_min_ms").as_number());
-  cfg.workload.response_max =
-      Duration::from_ms(w.at("response_max_ms").as_number());
-  cfg.workload.probability_steps =
-      static_cast<int>(w.at("probability_steps").as_number());
-
-  cfg.errors.clear();
-  for (std::size_t i = 0; i < axes[0].at("values").as_array().size(); ++i) {
-    const Json& v = axes[0].at("values").as_array()[i];
-    const SpecPath vp = root / "sweep" / "axes" / std::size_t{0} / "values" / i;
-    if (!v.is_number() || !std::isfinite(v.as_number()) ||
-        !(v.as_number() > -1.0)) {
-      throw SpecError(vp, "must be a finite number > -1");
-    }
-    cfg.errors.push_back(v.as_number());
-  }
-  cfg.solvers.clear();
-  for (std::size_t i = 0; i < axes[1].at("values").as_array().size(); ++i) {
-    const Json& v = axes[1].at("values").as_array()[i];
-    const SpecPath vp = root / "sweep" / "axes" / std::size_t{1} / "values" / i;
-    if (!v.is_string()) throw SpecError(vp, "must be a solver name string");
-    cfg.solvers.push_back(solver_from_string(v.as_string(), vp));
-  }
-
-  cfg.horizon = Duration::from_ms(doc.sim.at("horizon_ms").as_number());
-  cfg.batch.base_seed =
-      static_cast<std::uint64_t>(doc.sweep.at("base_seed").as_number());
-  cfg.batch.jobs = static_cast<unsigned>(doc.sweep.at("jobs").as_number());
-  return cfg;
 }
 
 }  // namespace rt::spec

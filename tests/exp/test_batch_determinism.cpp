@@ -15,21 +15,68 @@
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "obs/sink.hpp"
 #include "sim/benefit_response.hpp"
+#include "spec/grid.hpp"
 
 namespace {
 
 using namespace rt;
 
-exp::Fig3SweepConfig small_sweep_config(unsigned jobs) {
-  exp::Fig3SweepConfig cfg;
-  cfg.workload.num_tasks = 10;
-  cfg.errors = {-0.2, 0.0, 0.2};
-  cfg.horizon = Duration::seconds(5);
-  cfg.batch.jobs = jobs;
-  return cfg;
+/// A small Figure-3-shaped grid (examples/specs/fig3.json with 10 tasks,
+/// three accuracy ratios and a 5 s horizon): 3 x 2 = 6 scenarios.
+constexpr const char* kSmallFig3Doc = R"json({
+  "workload": {"type": "paper", "seed": 7, "num_tasks": 10},
+  "odm": {"apply_task_weights": false},
+  "server": {"type": "benefit-driven"},
+  "sim": {"benefit_semantics": "timely-count", "horizon_ms": 5000},
+  "sweep": {
+    "axes": [
+      {"path": "odm.estimation_error", "values": [-0.2, 0.0, 0.2]},
+      {"path": "odm.solver", "values": ["dp-profits", "heu-oe"]}
+    ]
+  }
+})json";
+
+struct SmallSweep {
+  spec::BatchPlan plan;
+  std::vector<exp::ScenarioOutcome> outcomes;
+};
+
+SmallSweep run_small_sweep(unsigned jobs, obs::Sink* sink = nullptr) {
+  SmallSweep sweep;
+  sweep.plan =
+      spec::plan_batch(spec::ScenarioDoc::parse_text(kSmallFig3Doc));
+  sweep.plan.batch.jobs = jobs;
+  sweep.outcomes = exp::BatchRunner(sweep.plan.batch).run(sweep.plan.specs, sink);
+  return sweep;
+}
+
+/// Bit-identical decisions and per-task metrics, not approximately equal.
+void expect_outcomes_equal(const std::vector<exp::ScenarioOutcome>& a,
+                           const std::vector<exp::ScenarioOutcome>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    SCOPED_TRACE(s);
+    EXPECT_EQ(a[s].odm.claimed_objective, b[s].odm.claimed_objective);
+    ASSERT_EQ(a[s].decisions.size(), b[s].decisions.size());
+    for (std::size_t t = 0; t < a[s].decisions.size(); ++t) {
+      EXPECT_EQ(a[s].decisions[t].level, b[s].decisions[t].level);
+      EXPECT_EQ(a[s].decisions[t].response_time, b[s].decisions[t].response_time);
+    }
+    ASSERT_EQ(a[s].metrics.per_task.size(), b[s].metrics.per_task.size());
+    for (std::size_t t = 0; t < a[s].metrics.per_task.size(); ++t) {
+      const sim::TaskMetrics& x = a[s].metrics.per_task[t];
+      const sim::TaskMetrics& y = b[s].metrics.per_task[t];
+      EXPECT_EQ(x.released, y.released);
+      EXPECT_EQ(x.completed, y.completed);
+      EXPECT_EQ(x.deadline_misses, y.deadline_misses);
+      EXPECT_EQ(x.timely_results, y.timely_results);
+      EXPECT_EQ(x.compensations, y.compensations);
+      EXPECT_EQ(x.late_results, y.late_results);
+      EXPECT_EQ(x.accrued_benefit, y.accrued_benefit);
+    }
+  }
 }
 
 TEST(ScenarioSeed, DeterministicAndDistinct) {
@@ -46,43 +93,36 @@ TEST(ScenarioSeed, DeterministicAndDistinct) {
 }
 
 TEST(BatchDeterminism, SweepIdenticalAcrossWorkerCounts) {
-  // One fixed task set so all three runs sweep the same grid.
-  Rng rng(7);
-  core::PaperSimConfig wl;
-  wl.num_tasks = 10;
-  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
+  const SmallSweep r1 = run_small_sweep(1);
+  const SmallSweep r2 = run_small_sweep(2);
+  const SmallSweep r8 = run_small_sweep(8);
 
-  const exp::Fig3SweepResult r1 =
-      exp::run_fig3_sweep(tasks, small_sweep_config(1));
-  const exp::Fig3SweepResult r2 =
-      exp::run_fig3_sweep(tasks, small_sweep_config(2));
-  const exp::Fig3SweepResult r8 =
-      exp::run_fig3_sweep(tasks, small_sweep_config(8));
-
-  ASSERT_EQ(r1.cells.size(), 3u * 2u);
-  ASSERT_EQ(r2.cells.size(), r1.cells.size());
-  ASSERT_EQ(r8.cells.size(), r1.cells.size());
-  EXPECT_EQ(r1.total_misses, r2.total_misses);
-  EXPECT_EQ(r1.total_misses, r8.total_misses);
-
-  for (std::size_t i = 0; i < r1.cells.size(); ++i) {
-    SCOPED_TRACE(i);
-    for (const exp::Fig3SweepResult* other : {&r2, &r8}) {
-      EXPECT_EQ(r1.cells[i].error, other->cells[i].error);
-      EXPECT_EQ(r1.cells[i].solver, other->cells[i].solver);
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(r1.cells[i].analytic, other->cells[i].analytic);
-      EXPECT_EQ(r1.cells[i].simulated, other->cells[i].simulated);
-      EXPECT_EQ(r1.cells[i].misses, other->cells[i].misses);
+  ASSERT_EQ(r1.outcomes.size(), 3u * 2u);
+  for (const SmallSweep* other : {&r2, &r8}) {
+    for (std::size_t i = 0; i < r1.plan.specs.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(r1.plan.specs[i].odm.estimation_error,
+                other->plan.specs[i].odm.estimation_error);
+      EXPECT_EQ(r1.plan.specs[i].odm.solver, other->plan.specs[i].odm.solver);
     }
+    expect_outcomes_equal(r1.outcomes, other->outcomes);
   }
 
   // The sweep must have produced real signal, or the equalities above are
-  // vacuous.
+  // vacuous: analytic sum_i G_i(R_i) over offloaded tasks, and simulated
+  // timely results per job.
   double analytic_sum = 0.0, simulated_sum = 0.0;
-  for (const auto& c : r1.cells) {
-    analytic_sum += c.analytic;
-    simulated_sum += c.simulated;
+  for (const exp::ScenarioOutcome& o : r1.outcomes) {
+    const core::TaskSet& tasks = r1.plan.specs[o.index].tasks;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (o.decisions[i].offloaded()) {
+        analytic_sum += tasks[i].benefit.value_at(o.decisions[i].response_time);
+      }
+      const sim::TaskMetrics& m = o.metrics.per_task[i];
+      if (m.released > 0) {
+        simulated_sum += m.accrued_benefit / static_cast<double>(m.released);
+      }
+    }
   }
   EXPECT_GT(analytic_sum, 0.0);
   EXPECT_GT(simulated_sum, 0.0);
@@ -122,32 +162,17 @@ TEST(BatchDeterminism, DecideOffloadingBatchMatchesSerial) {
 }
 
 TEST(BatchDeterminism, TelemetryDoesNotPerturbResults) {
-  // Attaching a sink must be pure observation: the sweep's cells stay
+  // Attaching a sink must be pure observation: the sweep's outcomes stay
   // bit-identical to a telemetry-free run.
-  Rng rng(7);
-  core::PaperSimConfig wl;
-  wl.num_tasks = 10;
-  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
-
-  const exp::Fig3SweepResult bare =
-      exp::run_fig3_sweep(tasks, small_sweep_config(2));
+  const SmallSweep bare = run_small_sweep(2);
 
   obs::Sink sink;
-  exp::Fig3SweepConfig cfg = small_sweep_config(2);
-  cfg.sink = &sink;
-  const exp::Fig3SweepResult observed = exp::run_fig3_sweep(tasks, cfg);
-
-  ASSERT_EQ(observed.cells.size(), bare.cells.size());
-  for (std::size_t i = 0; i < bare.cells.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(observed.cells[i].analytic, bare.cells[i].analytic);
-    EXPECT_EQ(observed.cells[i].simulated, bare.cells[i].simulated);
-    EXPECT_EQ(observed.cells[i].misses, bare.cells[i].misses);
-  }
+  const SmallSweep observed = run_small_sweep(2, &sink);
+  expect_outcomes_equal(observed.outcomes, bare.outcomes);
 
   // The merged counters must have recorded the sweep.
   EXPECT_EQ(sink.registry().counter("batch.scenarios").value(),
-            bare.cells.size());
+            bare.outcomes.size());
   EXPECT_GT(sink.registry().counter("sim.events").value(), 0u);
   EXPECT_GT(sink.registry().counter("odm.decisions").value(), 0u);
   EXPECT_GT(sink.registry().histogram("mckp.items_pruned").count(), 0u);
@@ -158,19 +183,9 @@ TEST(BatchDeterminism, MergedCountersIdenticalAcrossWorkerCounts) {
   // Counters and value histograms (not the *_ns wall-clock ones) are
   // integer sums over per-scenario work, so the merged totals must be
   // identical for every worker count.
-  Rng rng(7);
-  core::PaperSimConfig wl;
-  wl.num_tasks = 10;
-  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
-
-  auto run_with_sink = [&](unsigned jobs, obs::Sink& sink) {
-    exp::Fig3SweepConfig cfg = small_sweep_config(jobs);
-    cfg.sink = &sink;
-    (void)exp::run_fig3_sweep(tasks, cfg);
-  };
   obs::Sink s1, s8;
-  run_with_sink(1, s1);
-  run_with_sink(8, s8);
+  (void)run_small_sweep(1, &s1);
+  (void)run_small_sweep(8, &s8);
 
   ASSERT_EQ(s1.registry().counters().size(), s8.registry().counters().size());
   for (const auto& [name, c] : s1.registry().counters()) {

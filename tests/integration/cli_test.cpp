@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -22,9 +24,14 @@ std::string scratch_path(const std::string& stem) {
   return "/tmp/rtoffload_cli_" + std::to_string(getpid()) + "_" + stem;
 }
 
-std::string run_capture(const std::string& cmd, int* exit_code) {
+/// Runs `cmd` and returns its stdout, or its stderr with `want_stderr`.
+std::string run_capture(const std::string& cmd, int* exit_code,
+                        bool want_stderr = false) {
   const std::string out_path = scratch_path("out.txt");
-  const int rc = std::system((cmd + " > " + out_path + " 2>/dev/null").c_str());
+  const std::string redirect = want_stderr
+                                   ? " > /dev/null 2> " + out_path
+                                   : " > " + out_path + " 2>/dev/null";
+  const int rc = std::system((cmd + redirect).c_str());
   *exit_code = WEXITSTATUS(rc);
   std::ifstream in(out_path);
   std::ostringstream buf;
@@ -165,6 +172,82 @@ TEST(CliTool, SpecRunMatchesLegacyTaskSetRun) {
   // Same scenario, same seeds -> byte-identical report.
   EXPECT_EQ(legacy_report, spec_report);
   EXPECT_EQ(Json::parse(legacy_report), Json::parse(spec_report));
+}
+
+TEST(CliTool, SpecSweepPrintsOneRowPerCell) {
+  // A small Figure-3-shaped grid: 3 accuracy ratios x 2 solvers.
+  const std::string in_path = scratch_path("fig3_small.json");
+  {
+    std::ofstream out(in_path);
+    out << R"json({
+      "workload": {"type": "paper", "num_tasks": 8},
+      "odm": {"apply_task_weights": false},
+      "server": {"type": "benefit-driven"},
+      "sim": {"benefit_semantics": "timely-count", "horizon_ms": 4000},
+      "sweep": {
+        "axes": [
+          {"path": "odm.estimation_error", "values": [-0.2, 0.0, 0.2]},
+          {"path": "odm.solver", "values": ["dp-profits", "heu-oe"]}
+        ]
+      }
+    })json";
+  }
+  int rc = 0;
+  const std::string cmd = std::string(RTOFFLOAD_CLI_PATH) + " --spec " + in_path;
+  const std::string out = run_capture(cmd, &rc);
+  EXPECT_EQ(rc, 0);
+  // Header, one row per cell, footer.
+  std::istringstream lines(out);
+  std::string line;
+  std::vector<std::string> rows;
+  while (std::getline(lines, line)) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 1u + 6u + 1u) << out;
+  EXPECT_NE(rows.front().find("index"), std::string::npos);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(rows[1 + i].rfind(std::string(4, ' ') + std::to_string(i), 0), 0u)
+        << rows[1 + i];
+  }
+  EXPECT_EQ(rows.back(), "scenarios: 6  total misses: 0");
+
+  // The worker count is a pure performance knob.
+  EXPECT_EQ(run_capture(cmd + " --jobs 1", &rc), out);
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(run_capture(cmd + " --jobs 4", &rc), out);
+  EXPECT_EQ(rc, 0);
+  std::remove(in_path.c_str());
+}
+
+TEST(CliTool, UnknownOptionsAreRejected) {
+  // Options that spec documents carry instead (Figure 3 is
+  // examples/specs/fig3.json, the horizon is $.sim.horizon_ms, faults and
+  // the controller are document sections) are unknown, not file names.
+  for (const char* flag : {"--fig3", "--horizon-ms", "--faults", "--adaptive",
+                           "--bogus"}) {
+    SCOPED_TRACE(flag);
+    int rc = 0;
+    const std::string err =
+        run_capture(std::string(RTOFFLOAD_CLI_PATH) + " " + flag, &rc, true);
+    EXPECT_EQ(rc, 1);
+    EXPECT_EQ(err, "error: unknown option '" + std::string(flag) + "'\n");
+  }
+}
+
+TEST(CliTool, TaskSetConfigErrorsNameTheDocumentPath) {
+  // A task-set file runs as a spec document, so its config values are
+  // validated by the spec layer.
+  const std::string in_path = scratch_path("bad_horizon.json");
+  {
+    std::ofstream out(in_path);
+    out << R"({"config": {"horizon_ms": -5},
+              "tasks": [{"name": "t", "period_ms": 100, "local_wcet_ms": 10,
+                         "setup_wcet_ms": 1}]})";
+  }
+  int rc = 0;
+  const std::string err =
+      run_capture(std::string(RTOFFLOAD_CLI_PATH) + " " + in_path, &rc, true);
+  std::remove(in_path.c_str());
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.find("$.sim.horizon_ms"), std::string::npos) << err;
 }
 
 TEST(CliTool, ReplicationsAddAggregateAndKeepRepZeroReport) {

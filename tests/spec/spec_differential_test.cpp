@@ -4,8 +4,7 @@
 // (faults(routing(bursty(lognormal))) plus an adaptive controller) built
 // from one JSON document must produce the exact SimMetrics and ODM results
 // of hand-written C++ over a fixed seed grid; likewise a sweep grid run
-// through plan_batch() vs an inline ScenarioSpec vector, and a Figure-3
-// document vs an inline Fig3SweepConfig.
+// through plan_batch() vs an inline ScenarioSpec vector.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "rt/health.hpp"
 #include "server/bursty.hpp"
 #include "server/faults.hpp"
@@ -248,43 +246,6 @@ TEST(SpecDifferential, BatchPlanMatchesInlineSpecVector) {
     EXPECT_EQ(spec_out[i].odm.claimed_objective,
               inline_out[i].odm.claimed_objective);
     expect_metrics_equal(spec_out[i].metrics, inline_out[i].metrics);
-  }
-}
-
-TEST(SpecDifferential, Fig3DocMatchesInlineSweepConfig) {
-  const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(R"json({
-    "workload": {"type": "paper", "seed": 123, "num_tasks": 8},
-    "odm": {"apply_task_weights": false},
-    "server": {"type": "benefit-driven"},
-    "sim": {"benefit_semantics": "timely-count", "horizon_ms": 4000},
-    "sweep": {
-      "jobs": 2,
-      "axes": [
-        {"path": "odm.estimation_error", "values": [-0.2, 0.0, 0.2]},
-        {"path": "odm.solver", "values": ["dp-profits", "heu-oe"]}
-      ]
-    }
-  })json");
-  const exp::Fig3SweepResult spec_sweep =
-      exp::run_fig3_sweep(spec::fig3_config_from_doc(doc));
-
-  exp::Fig3SweepConfig inline_cfg;
-  inline_cfg.workload.num_tasks = 8;
-  inline_cfg.taskset_seed = 123;
-  inline_cfg.errors = {-0.2, 0.0, 0.2};
-  inline_cfg.horizon = Duration::from_ms(4000);
-  inline_cfg.batch.jobs = 2;
-  const exp::Fig3SweepResult inline_sweep = exp::run_fig3_sweep(inline_cfg);
-
-  ASSERT_EQ(spec_sweep.cells.size(), inline_sweep.cells.size());
-  EXPECT_EQ(spec_sweep.total_misses, inline_sweep.total_misses);
-  for (std::size_t i = 0; i < spec_sweep.cells.size(); ++i) {
-    SCOPED_TRACE("cell " + std::to_string(i));
-    EXPECT_EQ(spec_sweep.cells[i].error, inline_sweep.cells[i].error);
-    EXPECT_EQ(spec_sweep.cells[i].solver, inline_sweep.cells[i].solver);
-    EXPECT_EQ(spec_sweep.cells[i].analytic, inline_sweep.cells[i].analytic);
-    EXPECT_EQ(spec_sweep.cells[i].simulated, inline_sweep.cells[i].simulated);
-    EXPECT_EQ(spec_sweep.cells[i].misses, inline_sweep.cells[i].misses);
   }
 }
 

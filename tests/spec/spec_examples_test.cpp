@@ -56,14 +56,4 @@ TEST(SpecExamples, AllShippedSpecsParseExpandAndBuild) {
   }
 }
 
-TEST(SpecExamples, Fig3DocMapsOntoTheSweepEngine) {
-  const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(
-      slurp(std::filesystem::path(RTOFFLOAD_SPECS_DIR) / "fig3.json"));
-  const exp::Fig3SweepConfig cfg = spec::fig3_config_from_doc(doc);
-  EXPECT_EQ(cfg.taskset_seed, 20140601u);
-  EXPECT_EQ(cfg.errors.size(), 9u);
-  EXPECT_EQ(cfg.solvers.size(), 2u);
-  EXPECT_EQ(cfg.horizon, Duration::seconds(200));
-}
-
 }  // namespace

@@ -9,7 +9,6 @@
 //   rtoffload_cli --spec spec.json      run a declarative scenario document
 //   rtoffload_cli --validate spec.json  check a document, print it normalized
 //   rtoffload_cli --list-types          list registered component types
-//   rtoffload_cli --fig3                run the paper's Figure 3 sweep
 //   rtoffload_cli --sample              print a sample task-set file
 //   rtoffload_cli                       run the built-in sample (demo)
 //
@@ -17,14 +16,16 @@
 // JSON object describing workload, server stack, faults, controller, sim
 // parameters, and an optional sweep grid. Without a sweep it prints the
 // same report as a task-set file; with one it expands the grid through
-// exp::BatchRunner and prints a per-scenario summary table.
+// exp::BatchRunner and prints a per-scenario summary table. The paper's
+// Figure 3 sweep is `--spec examples/specs/fig3.json`.
 //
 // Telemetry (docs/ANALYSIS.md §8), available in every mode:
 //   --metrics-out PATH   write a metric snapshot (.csv -> CSV, else JSON)
 //   --trace-out PATH     write a Chrome trace-event JSON timeline; load it
 //                        in ui.perfetto.dev or chrome://tracing. File mode
 //                        renders per-task CPU swimlanes (pid = file index);
-//                        --fig3 renders per-worker scenario swimlanes.
+//                        a --spec sweep renders per-worker scenario
+//                        swimlanes.
 //
 // With several input files the reports are computed in parallel (--jobs N,
 // default 1) but always printed in argument order; the exit status is the
@@ -34,9 +35,11 @@
 // accepts
 //   solver: "dp-profits" | "heu-oe" | "dp-weights"   (default dp-profits)
 //   scenario: "idle" | "not-busy" | "busy" | "dead"  (default not-busy)
-//   horizon_ms, seed, estimation_error, exact_pda (bool)
-// and each task follows core/serialization.hpp. Solver and scenario names
-// resolve through the same spec-layer registries as --spec documents.
+//   horizon_ms (default 10000), seed (default 1), estimation_error,
+//   exact_pda (bool)
+// and each task follows core/serialization.hpp. A task-set file runs as the
+// spec document taskset_to_doc maps it to, so its values are validated,
+// and its errors named, like a --spec document's ("$.sim.horizon_ms: ...").
 
 #include <cstdio>
 #include <fstream>
@@ -49,14 +52,12 @@
 #include "core/schedulability.hpp"
 #include "core/serialization.hpp"
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/sink.hpp"
 #include "rt/health.hpp"
 #include "runtime/gpu_service.hpp"
 #include "runtime/offload_runtime.hpp"
 #include "runtime/serve.hpp"
-#include "server/faults.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_export.hpp"
 #include "spec/grid.hpp"
@@ -130,46 +131,91 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
-/// Optional robustness add-ons shared by every task-set input: a fault
-/// script overlaid on the configured server scenario, and the adaptive
-/// degraded-mode controller (all-local fallback vector by default).
-struct RobustnessOptions {
-  std::optional<rt::server::FaultScript> faults;
-  bool adaptive = false;
-};
+/// A task-set file as the equivalent spec document: the tasks become an
+/// inline workload and each `config` value lands in its document section,
+/// with the task-set defaults written out (they differ from the document
+/// defaults for seed). The spec layer then validates every value.
+rt::spec::ScenarioDoc taskset_to_doc(const std::string& text,
+                                     std::size_t replications) {
+  using rt::Json;
+  const Json file = Json::parse(text);
+  const Json config =
+      file.contains("config") ? file.at("config") : Json(Json::Object{});
+  const auto get = [&](const char* key, Json fallback) {
+    return config.contains(key) ? config.at(key) : fallback;
+  };
+  return rt::spec::ScenarioDoc::parse(Json(Json::Object{
+      {"workload", Json(Json::Object{{"type", "inline"},
+                                     {"tasks", file.at("tasks")}})},
+      {"odm", Json(Json::Object{
+                  {"solver", get("solver", "dp-profits")},
+                  {"estimation_error", get("estimation_error", 0.0)},
+                  {"exact_pda", get("exact_pda", false)}})},
+      {"server", Json(Json::Object{{"type", "scenario"},
+                                   {"name", get("scenario", "not-busy")}})},
+      {"sim", Json(Json::Object{
+                  {"horizon_ms", get("horizon_ms", 10'000.0)},
+                  {"seed", get("seed", 1.0)},
+                  {"replications", static_cast<double>(replications)}})},
+  }));
+}
 
-/// One fully materialized scenario, however it was described -- a legacy
-/// task-set file or a spec document. run_scenario is the single report
-/// path for both, which is what makes the two input styles byte-identical
-/// on equivalent inputs.
-struct ScenarioRun {
-  rt::core::TaskSet tasks;
-  rt::sim::RequestProfile profile;
-  rt::core::OdmConfig odm;
-  bool exact_pda = false;
-  std::unique_ptr<rt::server::ResponseModel> server;  ///< null = ODM only
-  std::shared_ptr<const rt::health::ModeControllerConfig> controller;
-  rt::sim::SimConfig sim;
-  /// Monte-Carlo replication count (--replications / $.sim.replications):
-  /// 1 runs the serial engine exactly as before; K > 1 runs the batched
-  /// engine and adds a cross-replication "aggregate" object to the report.
-  std::size_t replications = 1;
-};
+/// The head of every report: the ODM verdict and decisions.
+rt::Json::Object decision_report(const rt::core::TaskSet& tasks,
+                                 const rt::core::OdmResult& odm) {
+  rt::Json::Object report;
+  report["feasible"] = odm.feasible;
+  report["theorem3_density"] = odm.density;
+  report["claimed_objective"] = odm.claimed_objective;
+  report["decisions"] =
+      rt::core::decisions_to_json(tasks, odm.decisions).at("decisions");
+  return report;
+}
 
-int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
-                 rt::obs::ChromeTraceWriter* trace, int pid) {
+/// A run's totals and per-task block, shared by the "simulation" and the
+/// "runtime" report sections.
+rt::Json::Object run_section(const rt::core::TaskSet& tasks,
+                             const rt::sim::SimMetrics& metrics) {
+  using rt::Json;
+  Json::Object run;
+  run["released"] = static_cast<std::int64_t>(metrics.total_released());
+  run["completed"] = static_cast<std::int64_t>(metrics.total_completed());
+  run["deadline_misses"] =
+      static_cast<std::int64_t>(metrics.total_deadline_misses());
+  run["timely_results"] =
+      static_cast<std::int64_t>(metrics.total_timely_results());
+  run["compensations"] = static_cast<std::int64_t>(metrics.total_compensations());
+  run["total_benefit"] = metrics.total_benefit();
+  run["cpu_utilization"] = metrics.cpu_utilization();
+  Json::Array per_task;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const auto& m = metrics.per_task[i];
+    Json::Object t;
+    t["task"] = tasks[i].name;
+    t["released"] = static_cast<std::int64_t>(m.released);
+    t["timely"] = static_cast<std::int64_t>(m.timely_results);
+    t["compensations"] = static_cast<std::int64_t>(m.compensations);
+    t["misses"] = static_cast<std::int64_t>(m.deadline_misses);
+    t["benefit"] = m.accrued_benefit;
+    per_task.push_back(Json(std::move(t)));
+  }
+  run["per_task"] = Json(std::move(per_task));
+  return run;
+}
+
+/// The one report path for every simulated input, task-set file or spec
+/// document: decide, optionally cross-check with the exact PDA, simulate
+/// (replications > 1 through the batched engine, adding an "aggregate"
+/// object), and print the JSON report.
+int run_scenario(rt::spec::BuiltScenario run, std::ostream& os,
+                 rt::obs::Sink* sink, rt::obs::ChromeTraceWriter* trace,
+                 int pid) {
   using namespace rt;
   run.odm.sink = sink;
   const core::OdmResult odm = core::decide_offloading(run.tasks, run.odm);
 
-  Json::Object report;
-  report["feasible"] = odm.feasible;
-  report["theorem3_density"] = odm.density;
-  report["claimed_objective"] = odm.claimed_objective;
+  Json::Object report = decision_report(run.tasks, odm);
   report["lp_bound"] = odm.lp_bound;
-  report["decisions"] =
-      core::decisions_to_json(run.tasks, odm.decisions).at("decisions");
-
   if (run.exact_pda) {
     const core::PdaResult pda = core::pda_feasible(run.tasks, odm.decisions);
     Json::Object pda_obj;
@@ -222,38 +268,13 @@ int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
     }
   }
 
-  Json::Object sim_obj;
-  sim_obj["released"] = static_cast<std::int64_t>(metrics.total_released());
-  sim_obj["completed"] = static_cast<std::int64_t>(metrics.total_completed());
-  sim_obj["deadline_misses"] =
-      static_cast<std::int64_t>(metrics.total_deadline_misses());
-  sim_obj["timely_results"] =
-      static_cast<std::int64_t>(metrics.total_timely_results());
-  sim_obj["compensations"] =
-      static_cast<std::int64_t>(metrics.total_compensations());
-  sim_obj["total_benefit"] = metrics.total_benefit();
-  sim_obj["cpu_utilization"] = metrics.cpu_utilization();
+  Json::Object sim_obj = run_section(run.tasks, metrics);
   sim_obj["trace_truncated"] = metrics.trace_truncated;
   if (aggregate.has_value()) {
     sim_obj["replications"] = static_cast<std::int64_t>(run.replications);
-  }
-  Json::Array per_task;
-  for (std::size_t i = 0; i < run.tasks.size(); ++i) {
-    const auto& m = metrics.per_task[i];
-    Json::Object t;
-    t["task"] = run.tasks[i].name;
-    t["released"] = static_cast<std::int64_t>(m.released);
-    t["timely"] = static_cast<std::int64_t>(m.timely_results);
-    t["compensations"] = static_cast<std::int64_t>(m.compensations);
-    t["misses"] = static_cast<std::int64_t>(m.deadline_misses);
-    t["benefit"] = m.accrued_benefit;
-    per_task.push_back(Json(std::move(t)));
-  }
-  sim_obj["per_task"] = Json(std::move(per_task));
-  report["simulation"] = Json(std::move(sim_obj));
-  if (aggregate.has_value()) {
     report["aggregate"] = aggregate->to_json();
   }
+  report["simulation"] = Json(std::move(sim_obj));
   if (run.controller != nullptr) {
     Json::Object adaptive;
     adaptive["mode_changes"] = static_cast<std::int64_t>(metrics.mode_changes);
@@ -266,74 +287,12 @@ int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
   return exit_misses == 0 ? 0 : 2;
 }
 
-/// Legacy task-set file -> ScenarioRun. Solver and scenario strings resolve
-/// through the spec registries (the CLI has no private name tables).
-ScenarioRun scenario_from_taskset(const std::string& text,
-                                  const RobustnessOptions& robust) {
-  using namespace rt;
-  const Json doc = Json::parse(text);
-
-  ScenarioRun run;
-  run.tasks = core::task_set_from_json(doc);
-
-  Json config = Json(Json::Object{});
-  if (doc.contains("config")) config = doc.at("config");
-
-  run.odm.solver = spec::solver_from_string(
-      config.string_or("solver", "dp-profits"),
-      spec::SpecPath() / "config" / "solver");
-  run.odm.estimation_error = config.number_or("estimation_error", 0.0);
-  run.exact_pda = config.bool_or("exact_pda", false);
-
-  const auto seed = static_cast<std::uint64_t>(config.number_or("seed", 1));
-  Json model(Json::Object{{"type", Json("scenario")},
-                          {"name", Json(config.string_or("scenario", "not-busy"))}});
-  spec::BuildContext ctx;
-  ctx.default_seed = seed;
-  run.server = spec::build_model(
-      spec::normalize_model(model, spec::SpecPath() / "config" / "scenario"), ctx);
-  if (robust.faults.has_value()) {
-    run.server = std::make_unique<server::FaultInjector>(std::move(run.server),
-                                                         *robust.faults);
-  }
-  if (robust.adaptive) {
-    // Default config: all-local degraded vector.
-    run.controller = std::make_shared<health::ModeControllerConfig>();
-  }
-  run.sim.horizon = Duration::from_ms(config.number_or("horizon_ms", 10'000.0));
-  run.sim.seed = seed;
-  return run;
-}
-
-/// Spec document -> ScenarioRun (the document carries everything).
-ScenarioRun scenario_from_doc(const rt::spec::ScenarioDoc& doc) {
-  rt::spec::BuiltScenario built = rt::spec::build_scenario(doc);
-  ScenarioRun run;
-  run.tasks = std::move(built.tasks);
-  run.profile = std::move(built.profile);
-  run.odm = built.odm;
-  run.exact_pda = built.exact_pda;
-  run.server = std::move(built.server);
-  run.controller = std::move(built.controller);
-  run.sim = built.sim;
-  run.replications = built.replications;
-  return run;
-}
-
-int run(const std::string& text, std::ostream& os, rt::obs::Sink* sink,
-        rt::obs::ChromeTraceWriter* trace, int pid,
-        const RobustnessOptions& robust, std::size_t replications) {
-  ScenarioRun scenario = scenario_from_taskset(text, robust);
-  scenario.replications = replications;
-  return run_scenario(std::move(scenario), os, sink, trace, pid);
-}
-
 // Analyze every file on `jobs` workers; reports print in argument order.
 // Telemetry is collected per file (its own sink / trace track) and merged
 // in that same order, so the outputs are identical for every jobs value.
 int run_files(const std::vector<std::string>& files, unsigned jobs,
               const std::string& metrics_out, const std::string& trace_out,
-              const RobustnessOptions& robust, std::size_t replications) {
+              std::size_t replications) {
   const bool want_metrics = !metrics_out.empty();
   const bool want_trace = !trace_out.empty();
   struct FileResult {
@@ -361,8 +320,9 @@ int run_files(const std::vector<std::string>& files, unsigned jobs,
         std::ostringstream buf;
         buf << in.rdbuf();
         std::ostringstream report;
-        r.code = run(buf.str(), report, r.sink.get(), r.trace.get(),
-                     static_cast<int>(i), robust, replications);
+        r.code = run_scenario(
+            rt::spec::build_scenario(taskset_to_doc(buf.str(), replications)),
+            report, r.sink.get(), r.trace.get(), static_cast<int>(i));
         r.output = report.str();
       } catch (const std::exception& e) {
         r.error = std::string("error: ") + e.what() + " (in '" + files[i] + "')";
@@ -404,11 +364,11 @@ int run_spec(const std::string& path, std::optional<unsigned> jobs_override,
   if (!has_grid) {
     obs::Sink sink;
     obs::ChromeTraceWriter trace;
-    ScenarioRun scenario = scenario_from_doc(doc);
+    spec::BuiltScenario built = spec::build_scenario(doc);
     if (replications_override.has_value()) {
-      scenario.replications = *replications_override;
+      built.replications = *replications_override;
     }
-    const int code = run_scenario(std::move(scenario), std::cout,
+    const int code = run_scenario(std::move(built), std::cout,
                                   want_metrics ? &sink : nullptr,
                                   want_trace ? &trace : nullptr, 0);
     if (want_metrics) write_metrics_file(sink, metrics_out);
@@ -505,41 +465,11 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
       built.tasks, odm.decisions, config, built.profile, options);
   if (loopback.has_value()) loopback->stop();
 
-  Json::Object report;
-  report["feasible"] = odm.feasible;
-  report["theorem3_density"] = odm.density;
-  report["claimed_objective"] = odm.claimed_objective;
-  report["decisions"] =
-      core::decisions_to_json(built.tasks, odm.decisions).at("decisions");
-
+  Json::Object report = decision_report(built.tasks, odm);
   const sim::SimMetrics& metrics = result.metrics;
-  Json::Object runtime_obj;
-  runtime_obj["released"] = static_cast<std::int64_t>(metrics.total_released());
-  runtime_obj["completed"] =
-      static_cast<std::int64_t>(metrics.total_completed());
-  runtime_obj["deadline_misses"] =
-      static_cast<std::int64_t>(metrics.total_deadline_misses());
-  runtime_obj["timely_results"] =
-      static_cast<std::int64_t>(metrics.total_timely_results());
-  runtime_obj["compensations"] =
-      static_cast<std::int64_t>(metrics.total_compensations());
-  runtime_obj["total_benefit"] = metrics.total_benefit();
-  runtime_obj["cpu_utilization"] = metrics.cpu_utilization();
+  Json::Object runtime_obj = run_section(built.tasks, metrics);
   runtime_obj["server"] = options.server.to_string();
   runtime_obj["rpc"] = result.rpc_json();
-  Json::Array per_task;
-  for (std::size_t i = 0; i < built.tasks.size(); ++i) {
-    const auto& m = metrics.per_task[i];
-    Json::Object t;
-    t["task"] = built.tasks[i].name;
-    t["released"] = static_cast<std::int64_t>(m.released);
-    t["timely"] = static_cast<std::int64_t>(m.timely_results);
-    t["compensations"] = static_cast<std::int64_t>(m.compensations);
-    t["misses"] = static_cast<std::int64_t>(m.deadline_misses);
-    t["benefit"] = m.accrued_benefit;
-    per_task.push_back(Json(std::move(t)));
-  }
-  runtime_obj["per_task"] = Json(std::move(per_task));
   report["runtime"] = Json(std::move(runtime_obj));
   std::cout << Json(std::move(report)).dump(2) << "\n";
 
@@ -587,46 +517,12 @@ int list_types() {
   return 0;
 }
 
-// The paper's Figure 3 sweep with batch telemetry: per-worker scenario
-// swimlanes in the trace, odm/mckp/sim counters in the metrics snapshot.
-int run_fig3(unsigned jobs, double horizon_ms, const std::string& metrics_out,
-             const std::string& trace_out) {
-  rt::exp::Fig3SweepConfig cfg;
-  cfg.horizon = rt::Duration::from_ms(horizon_ms);
-  cfg.batch.jobs = jobs;
-  rt::obs::Sink sink;
-  const bool want_telemetry = !metrics_out.empty() || !trace_out.empty();
-  cfg.sink = want_telemetry ? &sink : nullptr;
-
-  const rt::exp::Fig3SweepResult result = rt::exp::run_fig3_sweep(cfg);
-
-  std::printf("%8s  %-10s  %10s  %10s  %7s\n", "error", "solver", "analytic",
-              "simulated", "misses");
-  for (const rt::exp::Fig3Cell& c : result.cells) {
-    std::printf("%+7.0f%%  %-10s  %10.3f  %10.3f  %7llu\n", c.error * 100.0,
-                rt::spec::solver_name(c.solver), c.analytic, c.simulated,
-                static_cast<unsigned long long>(c.misses));
-  }
-  std::printf("total misses: %llu\n",
-              static_cast<unsigned long long>(result.total_misses));
-
-  if (!metrics_out.empty()) write_metrics_file(sink, metrics_out);
-  if (!trace_out.empty()) {
-    rt::obs::ChromeTraceWriter writer;
-    rt::obs::append_phase_events(writer, sink);
-    write_trace_file(writer, trace_out);
-  }
-  return result.total_misses == 0 ? 0 : 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     std::optional<unsigned> jobs_flag;
     std::optional<std::size_t> replications_flag;
-    bool fig3 = false;
-    double horizon_ms = 20'000.0;
     std::string metrics_out;
     std::string trace_out;
     std::string spec_path;
@@ -635,7 +531,6 @@ int main(int argc, char** argv) {
     bool serve_gpu_flag = false;
     std::string server_addr;
     std::string listen_addr;
-    RobustnessOptions robust;
     std::vector<std::string> files;
     const auto need_value = [&](int& i, const std::string& flag) -> const char* {
       if (i + 1 >= argc) {
@@ -652,33 +547,29 @@ int main(int argc, char** argv) {
       if (arg == "-h" || arg == "--help") {
         std::cout << "usage: rtoffload_cli [--jobs N] [--metrics-out PATH] "
                      "[--trace-out PATH]\n"
-                     "                     [--faults script.json] "
-                     "[--adaptive] [--replications N]\n"
-                     "                     [taskset.json ...] | --spec "
-                     "spec.json | --validate spec.json\n"
-                     "                     | --list-types | --fig3 "
-                     "[--horizon-ms MS] | --sample\n"
+                     "                     [--replications N] "
+                     "[taskset.json ...] | --spec spec.json\n"
+                     "                     | --validate spec.json | "
+                     "--list-types | --sample\n"
                      "With no input files, runs the built-in sample task "
                      "set.\nSeveral files are analyzed on N workers (default "
                      "1) and reported in argument order.\n--spec runs a "
                      "declarative scenario document (docs/SCENARIOS.md): a "
                      "single scenario\nprints the standard report; a sweep "
                      "grid prints one summary row per cell\n(--jobs "
-                     "overrides the document's worker count).\n--validate "
-                     "parses and checks a document, prints it normalized "
-                     "with every default\nmaterialized, and exits 1 with a "
-                     "JSON-path-qualified message on any error.\n"
+                     "overrides the document's worker count). The paper's "
+                     "Figure 3 sweep is\n--spec examples/specs/fig3.json; "
+                     "fault scripts and the degraded-mode controller\nare "
+                     "the document's faults and controller sections.\n"
+                     "--validate parses and checks a document, prints it "
+                     "normalized with every default\nmaterialized, and exits "
+                     "1 with a JSON-path-qualified message on any error.\n"
                      "--list-types lists the registered component types per "
-                     "registry.\n--fig3 runs the paper's Figure 3 sweep "
-                     "(default horizon 20000 ms).\n"
+                     "registry.\n"
                      "--metrics-out writes a telemetry snapshot (.csv for "
                      "CSV, JSON otherwise);\n--trace-out writes a Chrome "
-                     "trace-event timeline for ui.perfetto.dev.\n--faults "
-                     "overlays a fault script (docs/ANALYSIS.md §10, "
-                     "example in examples/) on the\nserver scenario; "
-                     "--adaptive enables the degraded-mode health "
-                     "controller and adds\nits mode-change stats to the "
-                     "report.\n--replications N runs N Monte-Carlo "
+                     "trace-event timeline for ui.perfetto.dev.\n"
+                     "--replications N runs N Monte-Carlo "
                      "replications per scenario through the\nbatched engine "
                      "(seeds derived per replication) and adds a "
                      "cross-replication\n\"aggregate\" object to the report "
@@ -691,10 +582,6 @@ int main(int argc, char** argv) {
                      "stack as a daemon (--listen HOST:PORT\noverrides "
                      "$.runtime.listen) until SIGINT/SIGTERM.\n";
         return 0;
-      }
-      if (arg == "--fig3") {
-        fig3 = true;
-        continue;
       }
       if (arg == "--spec") {
         spec_path = need_value(i, arg);
@@ -723,22 +610,6 @@ int main(int argc, char** argv) {
         listen_addr = need_value(i, arg);
         continue;
       }
-      if (arg == "--faults") {
-        const std::string path = need_value(i, arg);
-        std::ifstream in(path);
-        if (!in) {
-          std::cerr << "error: cannot open fault script '" << path << "'\n";
-          return 1;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        robust.faults = rt::server::FaultScript::parse(buf.str());
-        continue;
-      }
-      if (arg == "--adaptive") {
-        robust.adaptive = true;
-        continue;
-      }
       if (arg == "--metrics-out") {
         metrics_out = need_value(i, arg);
         continue;
@@ -762,14 +633,6 @@ int main(int argc, char** argv) {
         replications_flag = static_cast<std::size_t>(v);
         continue;
       }
-      if (arg == "--horizon-ms") {
-        horizon_ms = std::stod(need_value(i, arg));
-        if (!(horizon_ms > 0.0)) {
-          std::cerr << "error: --horizon-ms must be > 0\n";
-          return 1;
-        }
-        continue;
-      }
       if (arg == "--jobs" || arg == "-j") {
         int v = 0;
         try {
@@ -785,6 +648,9 @@ int main(int argc, char** argv) {
         jobs_flag = v == 0 ? rt::util::default_jobs() : static_cast<unsigned>(v);
         continue;
       }
+      if (arg.size() > 1 && arg[0] == '-') {
+        throw std::invalid_argument("unknown option '" + arg + "'");
+      }
       files.push_back(arg);
     }
     const unsigned jobs = jobs_flag.value_or(1);
@@ -794,7 +660,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (serve_gpu_flag) {
-      if (spec_path.empty() || run_real || fig3 || !files.empty()) {
+      if (spec_path.empty() || run_real || !files.empty()) {
         std::cerr << "error: --serve-gpu needs --spec spec.json and no other "
                      "inputs\n";
         return 1;
@@ -809,7 +675,7 @@ int main(int argc, char** argv) {
           doc, listen.has_value() ? &*listen : nullptr, std::cout);
     }
     if (run_real) {
-      if (spec_path.empty() || fig3 || !files.empty()) {
+      if (spec_path.empty() || !files.empty()) {
         std::cerr << "error: --run-real needs --spec spec.json and no other "
                      "inputs\n";
         return 1;
@@ -822,42 +688,19 @@ int main(int argc, char** argv) {
       return run_real_spec(spec_path, server_addr, metrics_out, trace_out);
     }
     if (!validate_path.empty()) {
-      if (fig3 || !spec_path.empty() || !files.empty()) {
+      if (!spec_path.empty() || !files.empty()) {
         std::cerr << "error: --validate takes exactly one spec document\n";
         return 1;
       }
       return validate_spec(validate_path);
     }
     if (!spec_path.empty()) {
-      if (fig3 || !files.empty()) {
+      if (!files.empty()) {
         std::cerr << "error: --spec takes no other inputs\n";
-        return 1;
-      }
-      if (robust.faults.has_value() || robust.adaptive) {
-        std::cerr << "error: --faults/--adaptive apply to task-set inputs; "
-                     "a spec document carries its own faults/controller "
-                     "sections\n";
         return 1;
       }
       return run_spec(spec_path, jobs_flag, metrics_out, trace_out,
                       replications_flag);
-    }
-    if (fig3) {
-      if (!files.empty()) {
-        std::cerr << "error: --fig3 takes no input files\n";
-        return 1;
-      }
-      if (robust.faults.has_value() || robust.adaptive) {
-        std::cerr << "error: --faults/--adaptive apply to task-set inputs, "
-                     "not --fig3\n";
-        return 1;
-      }
-      if (replications_flag.has_value()) {
-        std::cerr << "error: --replications does not apply to --fig3 (the "
-                     "sweep replicates across its seed axis)\n";
-        return 1;
-      }
-      return run_fig3(jobs, horizon_ms, metrics_out, trace_out);
     }
     if (files.empty()) {
       std::cerr << "(no input file: running the built-in sample; see --help)\n";
@@ -865,15 +708,16 @@ int main(int argc, char** argv) {
       rt::obs::ChromeTraceWriter trace;
       const bool want_metrics = !metrics_out.empty();
       const bool want_trace = !trace_out.empty();
-      const int code = run(kSampleFile, std::cout,
-                           want_metrics ? &sink : nullptr,
-                           want_trace ? &trace : nullptr, 0, robust,
-                           replications_flag.value_or(1));
+      const int code = run_scenario(
+          rt::spec::build_scenario(
+              taskset_to_doc(kSampleFile, replications_flag.value_or(1))),
+          std::cout, want_metrics ? &sink : nullptr,
+          want_trace ? &trace : nullptr, 0);
       if (want_metrics) write_metrics_file(sink, metrics_out);
       if (want_trace) write_trace_file(trace, trace_out);
       return code;
     }
-    return run_files(files, jobs, metrics_out, trace_out, robust,
+    return run_files(files, jobs, metrics_out, trace_out,
                      replications_flag.value_or(1));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
